@@ -4,7 +4,9 @@ import (
 	"testing"
 )
 
-// Ablation benchmarks: quantify the design choices DESIGN.md calls out.
+// Ablation benchmarks: quantify discovery design choices one at a time —
+// the overflow flag, skipping provably empty queries, the ranking, and
+// the interface's power.
 // Run with `go test -bench=Ablation -benchmem`; the "queries" metric is
 // the interesting output (wall time just measures the simulator).
 

@@ -72,8 +72,6 @@ func main() {
 	maxFailureRate := flag.Float64("health-max-failure-rate", 0, "failed jobs/sec (1m window) before /healthz reports degraded (0 = 0.1, negative = disabled)")
 	max429Rate := flag.Float64("health-max-429-rate", 0, "upstream 429s/sec (1m window) before degraded (0 = 1.0, negative = disabled)")
 	maxEvictionRate := flag.Float64("health-max-eviction-rate", 0, "cache evictions/sec (1m window) before degraded (0 = 100, negative = disabled)")
-	batchWindow := flag.Duration("batch-window", 0, "coalesce concurrent /v1/answer/topk calls per store for up to this long and answer them in one fused batch sweep (0 = off)")
-	batchMax := flag.Int("batch-max", 0, "max coalesced vectors per batch sweep; the batch flushes early when reached (0 = 16)")
 	upstreamRetries := flag.Int("upstream-retries", 0, "attempts per upstream query for remote stores, transparently absorbing 429s and transient faults (0 = 4, 1 = no retries)")
 	upstreamBackoff := flag.Duration("upstream-backoff", 0, "base upstream retry backoff, doubled per attempt with jitter (0 = 250ms)")
 	upstreamBackoffMax := flag.Duration("upstream-backoff-max", 0, "upstream retry backoff cap; Retry-After hints are honored up to this long (0 = 5s)")
@@ -99,8 +97,6 @@ func main() {
 		SpanBuffer:       *spanBuffer,
 		SampleInterval:   *sampleInterval,
 		SampleRetention:  *sampleRetention,
-		BatchWindow:      *batchWindow,
-		BatchMax:         *batchMax,
 		MaxRetryDelay:    *retryMaxDelay,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,

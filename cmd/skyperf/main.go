@@ -7,7 +7,8 @@
 //
 //   - answer.Store top-k: the seed's row-major allocating implementation
 //     (Store.ReferenceTopK) vs. the arena/columnar zero-allocation path
-//     (Store.TopKAppend), unfiltered and range-filtered;
+//     (Store.TopKAppend, the fused sweep with one member, inline),
+//     unfiltered and range-filtered;
 //   - qcache lookups: a warmed cache hammered by concurrent readers with
 //     one shard (the old single-global-mutex design) vs. the default
 //     sharded layout;
@@ -15,8 +16,9 @@
 //     /v1/search (pooled response encoding) served through the real
 //     handler stack;
 //   - batch top-k: Store.TopKBatchInto scoring B weight vectors per
-//     fused column sweep (B = 1, 16, 256) against the single-vector
-//     arena path, with a derived per-vector view gated relative to it;
+//     fused column sweep (B = 1, 16, 256), with a derived per-vector
+//     view of B = 16 reported next to the single-vector path and gated
+//     against the seed reference;
 //   - recovery: rebuilding the answer index from the JSON job snapshot
 //     (unmarshal + Build) vs. loading the binary columnar snapshot
 //     (answer.LoadBinary), the cold-start choice Recover makes.
@@ -122,7 +124,7 @@ func main() {
 	}
 	if single, ok := r.Find("answer_topk_unfiltered_arena_c1"); ok {
 		if batch, ok := r.Find("answer_batch_topk_b16_vectors_c1"); ok {
-			note("batch TopK at B=16: %.0f vectors/s vs %.0f single-vector qps (%.2fx) from the fused per-column sweep",
+			note("batch TopK at B=16: %.0f vectors/s vs %.0f single-vector qps (%.2fx) from sharing one sweep's candidate walk across 16 vectors",
 				batch.QPS, single.QPS, batch.QPS/single.QPS)
 		}
 	}
@@ -276,7 +278,8 @@ func answerScenarios(r *perf.Report, n, conc, scale int, seed int64) (*answer.St
 // op is one fused sweep over all B vectors, so the raw sweep scenarios
 // report sweeps/sec; the derived *_vectors result restates the B=16
 // sweep per vector (QPS x16, latency and allocs /16) — that is the
-// number comparable to, and SLO-gated against, the single-vector path.
+// number comparable to the single-vector path, and SLO-gated against
+// the seed reference.
 func batchScenarios(r *perf.Report, s *answer.Store, ws [][]float64, scale int) {
 	const k = 10
 	for _, b := range []int{1, 16, 256} {

@@ -15,16 +15,15 @@
 //     scan the most selective attribute's slice instead of the store,
 //   - column-major attribute columns (raw values widened to float64
 //     and unit-normalized), so scoring is a fused per-column sweep
-//     over contiguous memory instead of a row-pointer chase,
-//   - contiguous shards, so very large candidate scans fan out across
-//     goroutines with a deterministic merge.
+//     over contiguous memory instead of a row-pointer chase.
 //
-// The serving hot path is allocation-free at steady state: scratch
-// buffers (candidate lists, score columns, selection windows) are
-// reused through a sync.Pool, winner scores are threaded from
-// selection to the answer instead of being recomputed, and TopKAppend
-// lets a caller reuse its result slice across requests. Requests below
-// a calibrated candidate threshold never spawn a goroutine.
+// Every read, single or batched, runs the same fused sweep (batch.go)
+// inline on the caller's goroutine. The hot path is allocation-free at
+// steady state: scratch buffers (candidate lists, gathered column
+// blocks, selection windows) are reused through a sync.Pool, winner
+// scores are threaded from selection to the answer instead of being
+// recomputed, and TopKAppend lets a caller reuse its result slice
+// across requests.
 //
 // A Store is immutable after Build; every method is safe for unbounded
 // concurrent use. Handle adds the lock-free hot-swap used by skylined:
@@ -53,7 +52,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"hiddensky/internal/obs"
@@ -76,20 +74,7 @@ type Options struct {
 	// the largest k for which unfiltered top-k answers are exact.
 	// <= 0 means 1 (a plain skyline).
 	BandK int
-	// ShardSize bounds how many tuples one goroutine scores during a
-	// scan (<= 0: a default of 2048). Candidate sets smaller than one
-	// shard — or smaller than the goroutine-spawn threshold below —
-	// are scored inline.
-	ShardSize int
 }
-
-// minParallelCandidates is the calibrated candidate-count threshold
-// below which selectTopK never spawns goroutines: under ~8k candidates
-// the fused column sweep finishes in single-digit microseconds, so the
-// goroutine + WaitGroup machinery costs more than it saves (measured
-// by BenchmarkStoreTopKUnfiltered / internal/perf). Candidate sets
-// must exceed both this and Options.ShardSize to fan out.
-const minParallelCandidates = 1 << 13
 
 // Store is the immutable materialized answer index.
 type Store struct {
@@ -97,7 +82,6 @@ type Store struct {
 	flat   []int   // the row arena backing tuples; never mutated
 	m      int
 	bandK  int
-	shard  int
 
 	level []int // level[i] = skyline layer of tuples[i]
 	// The layered levels, flattened: levelArena[levelOff[l]:levelOff[l+1]]
@@ -183,12 +167,9 @@ func Build(tuples [][]int, opt Options) (*Store, error) {
 		copy(row, t)
 		rows[i] = row
 	}
-	s := &Store{tuples: rows, flat: flat, m: m, bandK: opt.BandK, shard: opt.ShardSize}
+	s := &Store{tuples: rows, flat: flat, m: m, bandK: opt.BandK}
 	if s.bandK <= 0 {
 		s.bandK = 1
-	}
-	if s.shard <= 0 {
-		s.shard = 2048
 	}
 	s.buildLevels()
 	s.buildProjections()
@@ -357,38 +338,8 @@ type TopKResult struct {
 	Exact bool
 }
 
-// scratch is the per-request working set, pooled so a steady serving
-// load allocates nothing: the candidate buffer (filtered requests),
-// the score column, the selection window, and the shard-merge area.
-type scratch struct {
-	cand     []int
-	scores   []float64
-	win      []int
-	winSc    []float64
-	merged   []int
-	mergedSc []float64
-	counts   []int
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// growInts returns b with length n (reallocating only beyond capacity).
-func growInts(b []int, n int) []int {
-	if cap(b) < n {
-		return make([]int, n)
-	}
-	return b[:n]
-}
-
-func growFloats(b []float64, n int) []float64 {
-	if cap(b) < n {
-		return make([]float64, n)
-	}
-	return b[:n]
-}
-
 // TopK answers a top-k request. Ties are broken by tuple values
-// (lexicographically) for determinism regardless of sharding.
+// (lexicographically) for determinism regardless of candidate order.
 func (s *Store) TopK(q TopKQuery) (TopKResult, error) {
 	return s.TopKAppend(q, nil)
 }
@@ -411,35 +362,16 @@ func (s *Store) TopKAppend(q TopKQuery, dst []Ranked) (TopKResult, error) {
 	return res, err
 }
 
+// topKAppend runs the fused sweep with one member. The one-element
+// query and result arrays stay on the stack.
 func (s *Store) topKAppend(q TopKQuery, dst []Ranked) (TopKResult, error) {
 	if err := s.checkQuery(&q); err != nil {
 		return TopKResult{}, err
 	}
-	sc := scratchPool.Get().(*scratch)
-	var cand []int
-	if len(q.Filter) == 0 {
-		// The top-k of a monotone score lies in the first k layers: every
-		// layer-l tuple is dominated by a chain of l strictly better ones.
-		last := q.K
-		if last > s.numLevels() {
-			last = s.numLevels()
-		}
-		cand = s.levelArena[:s.levelOff[last]]
-	} else {
-		sc.cand = s.filteredInto(sc.cand[:0], q.Filter)
-		cand = sc.cand
-	}
-	idx, scores := s.selectTopK(cand, &q, q.K, sc)
-	items := dst[:0]
-	for x, i := range idx {
-		items = append(items, Ranked{Tuple: s.tuples[i], Score: scores[x], Level: s.level[i]})
-	}
-	scratchPool.Put(sc)
-	if len(items) == 0 {
-		items = nil
-	}
-	exact := len(q.Filter) == 0 && q.K <= s.bandK
-	return TopKResult{Items: items, Exact: exact}, nil
+	qs := [1]TopKQuery{q}
+	out := [1]TopKResult{{Items: dst}}
+	s.sweep(qs[:], out[:])
+	return out[0], nil
 }
 
 // checkQuery validates a full request: weights, k, and filter ranges.
@@ -482,30 +414,6 @@ func (s *Store) checkWeights(w []float64) error {
 	return nil
 }
 
-// scoreInto computes the request's score for every candidate as a fused
-// column sweep: one pass per positively-weighted attribute over a
-// contiguous float64 column. dst[j] receives the score of cand[j].
-// Summation runs in ascending attribute order, exactly like the
-// row-major reference, so results are bit-identical (skipped zero
-// weights contribute +0.0, which never changes a non-negative sum).
-// cols is s.cols or s.norm; weights is passed bare (not *TopKQuery) so
-// the parallel fan-out's goroutines never force the request struct to
-// escape — the inline hot path must stay allocation-free.
-func scoreInto(dst []float64, cand []int, weights []float64, cols [][]float64) {
-	for j := range dst {
-		dst[j] = 0
-	}
-	for a, w := range weights {
-		if w == 0 {
-			continue
-		}
-		col := cols[a]
-		for j, i := range cand {
-			dst[j] += w * col[i]
-		}
-	}
-}
-
 // filtered returns the candidate indices matching every range. It scans
 // the most selective constrained attribute's sorted projection slice
 // (found by binary search) and checks the remaining constraints there.
@@ -537,102 +445,6 @@ func (s *Store) filteredInto(out []int, filter []Range) []int {
 		}
 	}
 	return out
-}
-
-// selectTopK scores the candidates and keeps the best k, fanning very
-// large candidate sets out across shard goroutines. The returned index
-// and score slices are views into sc and parallel to each other. The
-// merge is deterministic: ties are broken by tuple value, then index.
-func (s *Store) selectTopK(cand []int, q *TopKQuery, k int, sc *scratch) ([]int, []float64) {
-	if len(cand) == 0 {
-		return nil, nil
-	}
-	if k > len(cand) {
-		k = len(cand)
-	}
-	cols := s.cols
-	if q.Normalized {
-		cols = s.norm
-	}
-	threshold := s.shard
-	if threshold < minParallelCandidates {
-		threshold = minParallelCandidates
-	}
-	if len(cand) <= threshold {
-		sc.scores = growFloats(sc.scores, len(cand))
-		scoreInto(sc.scores, cand, q.Weights, cols)
-		sc.win = growInts(sc.win, k)
-		sc.winSc = growFloats(sc.winSc, k)
-		return s.selectWindow(cand, sc.scores, k, sc.win[:0], sc.winSc[:0])
-	}
-	return s.selectTopKParallel(cand, q.Weights, cols, k, sc)
-}
-
-// selectTopKParallel is the fan-out arm of selectTopK, kept out of the
-// inline path so its goroutine closures cannot force the request or a
-// WaitGroup to escape on small (the overwhelmingly common) requests.
-func (s *Store) selectTopKParallel(cand []int, weights []float64, cols [][]float64, k int, sc *scratch) ([]int, []float64) {
-	shards := (len(cand) + s.shard - 1) / s.shard
-	sc.merged = growInts(sc.merged, shards*k)
-	sc.mergedSc = growFloats(sc.mergedSc, shards*k)
-	sc.counts = growInts(sc.counts, shards)
-	var wg sync.WaitGroup
-	for sh := 0; sh < shards; sh++ {
-		from := sh * s.shard
-		to := from + s.shard
-		if to > len(cand) {
-			to = len(cand)
-		}
-		wg.Add(1)
-		go func(sh int, part []int) {
-			defer wg.Done()
-			local := scratchPool.Get().(*scratch)
-			local.scores = growFloats(local.scores, len(part))
-			scoreInto(local.scores, part, weights, cols)
-			local.win = growInts(local.win, k)
-			local.winSc = growFloats(local.winSc, k)
-			win, winSc := s.selectWindow(part, local.scores, k, local.win[:0], local.winSc[:0])
-			sc.counts[sh] = copy(sc.merged[sh*k:sh*k+k], win)
-			copy(sc.mergedSc[sh*k:sh*k+k], winSc)
-			scratchPool.Put(local)
-		}(sh, cand[from:to])
-	}
-	wg.Wait()
-	// Compact the per-shard winners (already scored — no re-scoring) and
-	// run one final selection over them.
-	n := 0
-	for sh := 0; sh < shards; sh++ {
-		n += copy(sc.merged[n:], sc.merged[sh*k:sh*k+sc.counts[sh]])
-		copy(sc.mergedSc[n-sc.counts[sh]:], sc.mergedSc[sh*k:sh*k+sc.counts[sh]])
-	}
-	sc.win = growInts(sc.win, k)
-	sc.winSc = growFloats(sc.winSc, k)
-	return s.selectWindow(sc.merged[:n], sc.mergedSc[:n], k, sc.win[:0], sc.winSc[:0])
-}
-
-// selectWindow keeps the (up to) k best of the pre-scored candidates by
-// insertion into a small ordered window — O(n·k) with k tiny, no
-// allocation (win/winSc must have capacity k and length 0). The winner
-// scores ride along, so nothing downstream re-scores.
-func (s *Store) selectWindow(cand []int, scores []float64, k int, win []int, winSc []float64) ([]int, []float64) {
-	for j, i := range cand {
-		sc := scores[j]
-		if len(win) == k && !s.better(sc, i, winSc[k-1], win[k-1]) {
-			continue
-		}
-		pos := len(win)
-		for pos > 0 && s.better(sc, i, winSc[pos-1], win[pos-1]) {
-			pos--
-		}
-		if len(win) < k {
-			win = append(win, 0)
-			winSc = append(winSc, 0)
-		}
-		copy(win[pos+1:], win[pos:])
-		copy(winSc[pos+1:], winSc[pos:])
-		win[pos], winSc[pos] = i, sc
-	}
-	return win, winSc
 }
 
 // better reports whether candidate (sc, i) outranks (so, j): smaller

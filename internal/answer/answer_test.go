@@ -101,7 +101,8 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 		// expects.
 		data := dedupTuples(genData(rng, n, m, 40))
 		bandK := 1 + rng.Intn(8)
-		s, err := Build(bandOf(data, bandK), Options{BandK: bandK, ShardSize: 1 + rng.Intn(64)})
+		rng.Intn(64) // an unused draw, kept so the seeded inputs stay the same
+		s, err := Build(bandOf(data, bandK), Options{BandK: bandK})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,38 +145,6 @@ func dedupTuples(data [][]int) [][]int {
 		}
 	}
 	return out
-}
-
-// Ordering and determinism: scores non-decreasing, ties broken by tuple
-// value, independent of shard size.
-func TestTopKDeterministicAcrossShardSizes(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	data := genData(rng, 500, 3, 6) // tiny domain: many score ties
-	band := bandOf(data, 10)
-	w := []float64{1, 1, 1}
-	var ref []Ranked
-	for _, shard := range []int{1, 7, 64, 100000} {
-		s, err := Build(band, Options{BandK: 10, ShardSize: shard})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.TopK(TopKQuery{Weights: w, K: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < len(res.Items); i++ {
-			if res.Items[i].Score < res.Items[i-1].Score {
-				t.Fatalf("shard %d: scores out of order at %d", shard, i)
-			}
-		}
-		if ref == nil {
-			ref = res.Items
-			continue
-		}
-		if fmt.Sprint(res.Items) != fmt.Sprint(ref) {
-			t.Fatalf("shard %d: answer differs:\n%v\nvs\n%v", shard, res.Items, ref)
-		}
-	}
 }
 
 func TestTopKFiltered(t *testing.T) {

@@ -1,97 +1,94 @@
-// Batch top-k: score B weight vectors in one fused pass over the
-// candidate columns instead of B independent sweeps.
+// The top-k kernel: every read, a single TopK or a TopKBatch of many
+// weight vectors, runs one fused sweep over the candidate columns.
 //
-// The single-request path (TopKAppend) pays three full-width memory
-// walks per request: a gather per positively-weighted column (load the
-// candidate index, load the column value), a score write, and a
-// selection read over score data that large candidate sets have long
-// evicted by the time scoring finishes. The batch path blocks the sweep
-// over the candidates so everything stays cache-resident: per block it
-// gathers each attribute once (or slices the store columns directly
-// when the candidate set covers the whole store — the common full-band
-// case, where no gather happens at all), runs one contiguous
-// multiply-add pass per member per attribute, and immediately folds the
-// block's scores into each member's selection window while they are
-// still in L1. The gather — the part that misses cache — is amortized
-// across the whole batch, and the selection pass never touches cold
-// memory.
+// The sweep walks the candidates in cache-resident blocks: per block it
+// gathers each needed attribute once (or slices the store columns
+// directly when the candidate set covers the whole store — the common
+// full-band case, where no gather happens at all), scores every member
+// over the block, and immediately folds the block's scores into each
+// member's selection window while they are still in L1. The gather —
+// the part that misses cache — is amortized across the whole batch, no
+// full-width score column is ever materialized, and the selection pass
+// never touches cold memory.
 //
 // Queries are grouped by candidate set before scoring: all unfiltered
 // queries share the level-arena prefix of the largest K (each member
-// selects only over its own prefix, so answers stay bit-identical with
-// the single path), and filtered queries share a sweep exactly when
-// their Filter clauses are equal. Scores accumulate in ascending
-// attribute order, exactly like scoreInto, so a batch answer equals a
-// loop of TopKAppend calls bit for bit — selection uses the same
-// deterministic total order (score, then tuple, then index), which
-// makes it independent of candidate iteration order.
+// selects only over its own prefix), and filtered queries share a sweep
+// exactly when their Filter clauses are equal. Scores accumulate in
+// ascending attribute order and selection uses one strict total order
+// (score, then tuple, then index), so an answer never depends on the
+// batch that carried it or on candidate iteration order: TopK is a
+// batch of one, and a batch answer equals a loop of TopK calls bit for
+// bit.
 //
-// The whole batch runs in one pooled scratch block; with a reused
-// result slice the steady-state path is allocation-free below the same
-// goroutine-spawn threshold as the single path, and fans out across
-// candidate ranges above it (each range keeps per-member windows that
-// merge deterministically, like the single path's shard merge).
+// The sweep runs inline on the caller's goroutine in one pooled scratch
+// block; with reused result buffers the steady-state path performs no
+// allocation, whatever the candidate count.
 package answer
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
 
 // batchBlockElems is the candidate-block width of the fused sweep: one
-// block of every attribute column plus one member's score segment stay
+// block of every attribute column plus one member's block scores stay
 // cache-resident across the whole member loop.
 const batchBlockElems = 1024
 
-// batchScratch is the pooled working set of one TopKBatch call.
+// batchScratch is the pooled working set of one sweep.
 type batchScratch struct {
 	done    []bool // query already claimed by a group
 	members []int  // query indices of the current group
 	lens    []int  // per-member candidate prefix length
 	useNorm []bool // per-member column selection
-	full    []bool // member's prefix covers the whole group: fused selection
-	fast    []bool // eligible for the register kernel (m==4, full, no zero weights)
+	fast    []bool // eligible for the register kernel (m==4, no zero weights)
 	kEff    []int  // per-member effective k (min(K, prefix))
 	cand    []int  // filtered-group candidate buffer
 
 	wflat []float64 // transposed weight block (B×m)
-	rows  []float64 // per-member score rows (B×n)
+	raw   []float64 // gathered raw column block (m×batchBlockElems)
+	norm  []float64 // gathered normalized column block (m×batchBlockElems)
+	row   []float64 // one generic member's scores over one block
 
-	// Fused selection windows, one per (range, member), kMax entries
-	// each: winIdx/winSc hold the entries, winLen the fill levels.
+	// Selection windows, one per member, kMax entries each, kept
+	// unsorted while the sweep runs (see fusedBlock4): winIdx/winSc
+	// hold the entries, winLen the fill levels.
 	winIdx []int
 	winSc  []float64
 	winLen []int
 
 	// identity marks a group whose candidate set covers every stored
-	// tuple: scores index by tuple id and the sweep reads the store
-	// columns directly — no gather at all.
+	// tuple and whose members all select over all of it: a block
+	// position is a tuple id and the sweep reads the store columns
+	// directly — no gather at all.
 	identity bool
-	kMax     int  // fused window capacity of the current group
-	ranges   int  // fan-out width of the current group (1 = inline)
-	fastRaw  bool // some fast member reads the raw columns
-	fastNorm bool // some fast member reads the normalized columns
+	kMax     int // window capacity of the current group
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-func growBools(b []bool, n int) []bool {
+// grow returns b with length n (reallocating only beyond capacity).
+func grow[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return b[:n]
 }
 
-// CheckQuery validates q against the store — weights, k, filter ranges —
-// without answering it. The service coalescer uses it to reject a
-// malformed request individually before folding the rest of a window
-// into one batch (TopKBatchInto is all-or-nothing on validation).
-func (s *Store) CheckQuery(q TopKQuery) error { return s.checkQuery(&q) }
+// id maps a block position to its tuple id.
+func (bs *batchScratch) id(cand []int, pos int) int {
+	if bs.identity {
+		return pos
+	}
+	return cand[pos]
+}
 
 // TopKBatch answers every query in one fused column sweep per candidate
 // group. The result is positionally parallel to qs and each entry is
-// exactly what TopKAppend would have returned for that query alone.
+// exactly what TopK would have returned for that query alone.
 func (s *Store) TopKBatch(qs []TopKQuery) ([]TopKResult, error) {
 	return s.TopKBatchInto(qs, nil)
 }
@@ -126,16 +123,24 @@ func (s *Store) topKBatchInto(qs []TopKQuery, out []TopKResult) ([]TopKResult, e
 	} else {
 		out = append(out[:cap(out)], make([]TopKResult, len(qs)-cap(out))...)
 	}
+	s.sweep(qs, out)
+	return out, nil
+}
+
+// sweep answers validated queries into out (len(out) == len(qs)), one
+// fused sweep per candidate group, reusing each out[i].Items as the
+// append buffer of its answer.
+func (s *Store) sweep(qs []TopKQuery, out []TopKResult) {
 	if len(qs) == 0 {
-		return out, nil
+		return
 	}
 	bs := batchScratchPool.Get().(*batchScratch)
-	bs.done = growBools(bs.done, len(qs))
-	for i := range bs.done {
-		bs.done[i] = false
-	}
+	bs.done = grow(bs.done, len(qs))
+	clear(bs.done)
 	// Group 1: every unfiltered query shares the level-arena prefix of
-	// the largest K; members select only over their own prefix.
+	// the largest K; members select only over their own prefix. The
+	// top-k of a monotone score lies in the first k layers: every
+	// layer-l tuple is dominated by a chain of l strictly better ones.
 	bs.members = bs.members[:0]
 	bs.lens = bs.lens[:0]
 	maxLast := 0
@@ -145,19 +150,17 @@ func (s *Store) topKBatchInto(qs []TopKQuery, out []TopKResult) ([]TopKResult, e
 		}
 		bs.done[i] = true
 		bs.members = append(bs.members, i)
-		last := qs[i].K
-		if last > s.numLevels() {
-			last = s.numLevels()
-		}
+		last := min(qs[i].K, s.numLevels())
 		bs.lens = append(bs.lens, s.levelOff[last])
-		if last > maxLast {
-			maxLast = last
-		}
+		maxLast = max(maxLast, last)
 	}
 	if len(bs.members) > 0 {
 		s.batchGroup(qs, out, s.levelArena[:s.levelOff[maxLast]], bs)
 	}
 	// Remaining groups: filtered queries, one sweep per distinct filter.
+	// The grouping key is clause-for-clause equality: queries spelling
+	// the same predicate in a different clause order land in separate
+	// groups, which only costs a sweep, never correctness.
 	for i := range qs {
 		if bs.done[i] {
 			continue
@@ -166,7 +169,7 @@ func (s *Store) topKBatchInto(qs []TopKQuery, out []TopKResult) ([]TopKResult, e
 		bs.lens = bs.lens[:0]
 		bs.cand = s.filteredInto(bs.cand[:0], qs[i].Filter)
 		for j := i; j < len(qs); j++ {
-			if bs.done[j] || !equalFilter(qs[i].Filter, qs[j].Filter) {
+			if bs.done[j] || !slices.Equal(qs[i].Filter, qs[j].Filter) {
 				continue
 			}
 			bs.done[j] = true
@@ -176,294 +179,98 @@ func (s *Store) topKBatchInto(qs []TopKQuery, out []TopKResult) ([]TopKResult, e
 		s.batchGroup(qs, out, bs.cand, bs)
 	}
 	batchScratchPool.Put(bs)
-	return out, nil
-}
-
-// equalFilter reports clause-for-clause equality — the grouping key of a
-// shared filtered sweep. Queries spelling the same predicate in a
-// different clause order land in separate groups, which only costs a
-// sweep, never correctness.
-func equalFilter(a, b []Range) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // batchGroup scores one candidate group (bs.members / bs.lens against
 // cand) and writes each member's answer into out.
 func (s *Store) batchGroup(qs []TopKQuery, out []TopKResult, cand []int, bs *batchScratch) {
 	n := len(cand)
-	if n == 0 {
-		for _, qi := range bs.members {
-			// Mirror topKAppend on an empty candidate set: nil items,
-			// and a filtered answer is never exact.
-			out[qi] = TopKResult{Exact: len(qs[qi].Filter) == 0 && qs[qi].K <= s.bandK}
-		}
-		return
-	}
 	m := s.m
 	bcount := len(bs.members)
+	// Identity mode needs every member to select over the whole group:
+	// a short prefix of the level arena is not a contiguous id range.
 	bs.identity = n == len(s.tuples)
 	needRaw, needNorm := false, false
-	bs.useNorm = growBools(bs.useNorm, bcount)
-	bs.full = growBools(bs.full, bcount)
-	bs.fast = growBools(bs.fast, bcount)
-	bs.kEff = growInts(bs.kEff, bcount)
+	bs.useNorm = grow(bs.useNorm, bcount)
+	bs.fast = grow(bs.fast, bcount)
+	bs.kEff = grow(bs.kEff, bcount)
 	bs.kMax = 0
-	bs.fastRaw, bs.fastNorm = false, false
 	for bi, qi := range bs.members {
-		bs.useNorm[bi] = qs[qi].Normalized
-		if qs[qi].Normalized {
+		q := &qs[qi]
+		bs.useNorm[bi] = q.Normalized
+		if q.Normalized {
 			needNorm = true
 		} else {
 			needRaw = true
 		}
-		k := qs[qi].K
-		if k > bs.lens[bi] {
-			k = bs.lens[bi]
+		bs.kEff[bi] = min(q.K, bs.lens[bi])
+		bs.kMax = max(bs.kMax, bs.kEff[bi])
+		if bs.lens[bi] < n {
+			bs.identity = false
 		}
-		bs.kEff[bi] = k
-		// A member whose candidate prefix covers the whole group feeds
-		// the fused selection windows during the sweep; a shorter
-		// prefix selects post hoc over its score row.
-		bs.full[bi] = bs.lens[bi] == n
-		if bs.full[bi] && k > bs.kMax {
-			bs.kMax = k
-		}
-		// The register kernel needs the full prefix (no score row is
-		// materialized) and no zero weights: with every weight nonzero
-		// the full dot-product chain is the same addition sequence the
+		// With every weight nonzero the register kernel's full
+		// dot-product chain is the same addition sequence the
 		// zero-skipping generic path produces, so exactness holds.
-		bs.fast[bi] = bs.full[bi] && m == 4
-		if bs.fast[bi] {
-			for _, w := range qs[qi].Weights {
-				if w == 0 {
-					bs.fast[bi] = false
-					break
-				}
-			}
-		}
-		if bs.fast[bi] {
-			if bs.useNorm[bi] {
-				bs.fastNorm = true
-			} else {
-				bs.fastRaw = true
-			}
-		}
+		bs.fast[bi] = m == 4 && !slices.Contains(q.Weights, 0)
 	}
-	bs.wflat = growFloats(bs.wflat, bcount*m)
+	bs.wflat = grow(bs.wflat, bcount*m)
 	for bi, qi := range bs.members {
 		copy(bs.wflat[bi*m:(bi+1)*m], qs[qi].Weights)
 	}
-	bs.rows = growFloats(bs.rows, bcount*n)
-
-	threshold := s.shard
-	if threshold < minParallelCandidates {
-		threshold = minParallelCandidates
-	}
-	bs.ranges = 1
-	if n > threshold {
-		bs.ranges = (n + s.shard - 1) / s.shard
-	}
-	bs.winIdx = growInts(bs.winIdx, bs.ranges*bcount*bs.kMax)
-	bs.winSc = growFloats(bs.winSc, bs.ranges*bcount*bs.kMax)
-	bs.winLen = growInts(bs.winLen, bs.ranges*bcount)
-	for i := range bs.winLen {
-		bs.winLen[i] = 0
-	}
-	if bs.ranges == 1 {
-		s.batchScoreRange(bs, cand, needRaw, needNorm, 0, n, 0)
-		for bi := range bs.members {
-			s.batchEmit(qs, out, cand, bs, bi)
-		}
-		return
-	}
-	s.batchScoreParallel(bs, cand, needRaw, needNorm)
-	s.batchEmitParallel(qs, out, cand, bs)
-}
-
-// batchScoreParallel is the fan-out arm of the sweep, split out of
-// batchGroup (like selectTopKParallel) so its goroutine closures cannot
-// force the WaitGroup or loop state to escape on small inline batches.
-// It reuses the single path's rule: contiguous candidate ranges of one
-// shard each. Score rows and per-range windows are disjoint slices of
-// the shared scratch, so no locking.
-func (s *Store) batchScoreParallel(bs *batchScratch, cand []int, needRaw, needNorm bool) {
-	n := len(cand)
-	var wg sync.WaitGroup
-	for r := 0; r < bs.ranges; r++ {
-		from := r * s.shard
-		to := from + s.shard
-		if to > n {
-			to = n
-		}
-		wg.Add(1)
-		go func(r, from, to int) {
-			defer wg.Done()
-			s.batchScoreRange(bs, cand, needRaw, needNorm, from, to, r)
-		}(r, from, to)
-	}
-	wg.Wait()
-}
-
-// batchEmitParallel fans answer assembly out across members: merging
-// range windows is cheap, but post-hoc prefix selection is O(n) per
-// member, and even the merges add up at large B. Members write disjoint
-// out entries.
-func (s *Store) batchEmitParallel(qs []TopKQuery, out []TopKResult, cand []int, bs *batchScratch) {
-	var wg sync.WaitGroup
-	workers := len(bs.members)
-	if max := 2 * s.shardWorkers(); workers > max {
-		workers = max
-	}
-	chunk := (len(bs.members) + workers - 1) / workers
-	for lo := 0; lo < len(bs.members); lo += chunk {
-		hi := lo + chunk
-		if hi > len(bs.members) {
-			hi = len(bs.members)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for bi := lo; bi < hi; bi++ {
-				s.batchEmit(qs, out, cand, bs, bi)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// shardWorkers approximates the single path's fan-out width for one
-// full-arena sweep; the member-parallel emit arm uses it to bound
-// goroutine count.
-func (s *Store) shardWorkers() int {
-	w := (len(s.tuples) + s.shard - 1) / s.shard
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// batchScoreRange runs the fused sweep for candidates [from, to) of
-// range r, one cache-resident block at a time: gather each needed
-// attribute block once (or slice the store columns directly in identity
-// mode), one contiguous multiply-add pass per member per attribute,
-// then fold the block's scores into the member's selection window while
-// they are still hot. Scores accumulate in ascending attribute order —
-// the same addition sequence as scoreInto, including the implicit
-// leading zero — so batch results are bit-identical with the single
-// path (skipped zero weights contribute +0.0, which never changes a
-// sum initialized at +0.0).
-func (s *Store) batchScoreRange(bs *batchScratch, cand []int, needRaw, needNorm bool, from, to, r int) {
-	m := s.m
-	n := len(cand)
-	bcount := len(bs.members)
-	// Gather buffers come from the request scratch pool (two spare
-	// float columns) so the fan-out goroutines never share or allocate.
-	var local *scratch
-	var rawBuf, normBuf []float64
+	bs.winIdx = grow(bs.winIdx, bcount*bs.kMax)
+	bs.winSc = grow(bs.winSc, bcount*bs.kMax)
+	bs.winLen = grow(bs.winLen, bcount)
+	clear(bs.winLen)
 	if !bs.identity {
-		local = scratchPool.Get().(*scratch)
 		if needRaw {
-			local.scores = growFloats(local.scores, m*batchBlockElems)
-			rawBuf = local.scores
+			bs.raw = grow(bs.raw, m*batchBlockElems)
 		}
 		if needNorm {
-			local.mergedSc = growFloats(local.mergedSc, m*batchBlockElems)
-			normBuf = local.mergedSc
+			bs.norm = grow(bs.norm, m*batchBlockElems)
 		}
 	}
-	for lo := from; lo < to; lo += batchBlockElems {
-		hi := lo + batchBlockElems
-		if hi > to {
-			hi = to
-		}
+	bs.row = grow(bs.row, batchBlockElems)
+
+	for lo := 0; lo < n; lo += batchBlockElems {
+		hi := min(lo+batchBlockElems, n)
 		if !bs.identity {
 			for a := 0; a < m; a++ {
 				if needRaw {
-					col, g := s.cols[a], rawBuf[a*batchBlockElems:]
+					col, g := s.cols[a], bs.raw[a*batchBlockElems:]
 					for j := lo; j < hi; j++ {
 						g[j-lo] = col[cand[j]]
 					}
 				}
 				if needNorm {
-					col, g := s.norm[a], normBuf[a*batchBlockElems:]
+					col, g := s.norm[a], bs.norm[a*batchBlockElems:]
 					for j := lo; j < hi; j++ {
 						g[j-lo] = col[cand[j]]
 					}
 				}
 			}
 		}
-		// Register-kernel members first: no score row, selection
-		// threshold in a register, the window touched only by the few
-		// candidates that beat it.
-		for pass := 0; pass < 2; pass++ {
-			wantNorm := pass == 1
-			if (wantNorm && !bs.fastNorm) || (!wantNorm && !bs.fastRaw) {
+		for bi := range bs.members {
+			// A member selects over its own candidate prefix only.
+			end := min(hi, bs.lens[bi])
+			if end <= lo {
 				continue
 			}
-			var b0, b1, b2, b3 []float64
-			switch {
-			case bs.identity && wantNorm:
-				b0, b1, b2, b3 = s.norm[0][lo:hi], s.norm[1][lo:hi], s.norm[2][lo:hi], s.norm[3][lo:hi]
-			case bs.identity:
-				b0, b1, b2, b3 = s.cols[0][lo:hi], s.cols[1][lo:hi], s.cols[2][lo:hi], s.cols[3][lo:hi]
-			case wantNorm:
-				b0, b1 = normBuf[0:], normBuf[batchBlockElems:]
-				b2, b3 = normBuf[2*batchBlockElems:], normBuf[3*batchBlockElems:]
-			default:
-				b0, b1 = rawBuf[0:], rawBuf[batchBlockElems:]
-				b2, b3 = rawBuf[2*batchBlockElems:], rawBuf[3*batchBlockElems:]
-			}
-			for bi := 0; bi < bcount; bi++ {
-				if bs.fast[bi] && bs.useNorm[bi] == wantNorm {
-					s.fusedBlock4(bs, cand, lo, hi, r, bi, b0, b1, b2, b3)
-				}
-			}
-		}
-		for bi := 0; bi < bcount; bi++ {
-			if bs.fast[bi] {
-				continue
-			}
-			end := hi
-			// In identity mode every member scores the full range (a
-			// short-prefix member selects post hoc); in gather mode a
-			// member only needs its own candidate prefix.
-			if !bs.identity {
-				if bs.lens[bi] <= lo {
-					continue
-				}
-				if end > bs.lens[bi] {
-					end = bs.lens[bi]
-				}
-			}
-			row := bs.rows[bi*n+lo : bi*n+end]
 			useN := bs.useNorm[bi]
+			if bs.fast[bi] {
+				s.fusedBlock4(bs, cand, lo, bi,
+					s.block(bs, 0, useN, lo, end), s.block(bs, 1, useN, lo, end),
+					s.block(bs, 2, useN, lo, end), s.block(bs, 3, useN, lo, end))
+				continue
+			}
+			row := bs.row[:end-lo]
 			for a, w := range bs.wflat[bi*m : bi*m+m] {
-				var blk []float64
-				switch {
-				case bs.identity && useN:
-					blk = s.norm[a][lo:hi]
-				case bs.identity:
-					blk = s.cols[a][lo:hi]
-				case useN:
-					blk = normBuf[a*batchBlockElems:]
-				default:
-					blk = rawBuf[a*batchBlockElems:]
-				}
-				blk = blk[:len(row)]
+				blk := s.block(bs, a, useN, lo, end)
 				if a == 0 {
 					// First pass assigns instead of zero-then-add; the
-					// explicit +0 reproduces the single path's 0 + w·v
-					// addition bit for bit (it turns a -0.0 product
-					// into the +0.0 a zeroed row would have given).
-					for j := range blk {
+					// explicit +0 reproduces a zeroed accumulator's
+					// 0 + w·v bit for bit (it turns a -0.0 product into
+					// +0.0).
+					for j := range row {
 						row[j] = w*blk[j] + 0
 					}
 				} else if w != 0 {
@@ -472,73 +279,108 @@ func (s *Store) batchScoreRange(bs *batchScratch, cand []int, needRaw, needNorm 
 					}
 				}
 			}
-			if bs.full[bi] {
-				// Fold the hot block into this member's range window.
-				k := bs.kEff[bi]
-				off := (r*bcount + bi) * bs.kMax
-				fill := bs.winLen[r*bcount+bi]
-				win := bs.winIdx[off : off+fill : off+bs.kMax]
-				winSc := bs.winSc[off : off+fill : off+bs.kMax]
-				if bs.identity {
-					win, winSc = s.selectWindowSeq(lo, end, row, k, win, winSc)
-				} else {
-					win, winSc = s.selectWindow(cand[lo:end], row, k, win, winSc)
-				}
-				bs.winLen[r*bcount+bi] = len(win)
-			}
+			s.foldRow(bs, cand, lo, bi, row)
 		}
 	}
-	if local != nil {
-		scratchPool.Put(local)
+
+	for bi, qi := range bs.members {
+		off := bi * bs.kMax
+		win := bs.winIdx[off : off+bs.winLen[bi]]
+		winSc := bs.winSc[off : off+bs.winLen[bi]]
+		s.sortWindow(win, winSc)
+		items := out[qi].Items[:0]
+		for x, i := range win {
+			items = append(items, Ranked{Tuple: s.tuples[i], Score: winSc[x], Level: s.level[i]})
+		}
+		if len(items) == 0 {
+			items = nil
+		}
+		out[qi] = TopKResult{Items: items, Exact: len(qs[qi].Filter) == 0 && qs[qi].K <= s.bandK}
 	}
 }
 
-// fusedBlock4 is the register kernel of the sweep, for full-prefix
-// members on 4-attribute stores with no zero weights: the dot product
-// and the selection threshold both live in registers, so a candidate
-// that cannot enter the window (the overwhelming majority once the
-// window fills) costs four multiply-adds and one compare — no score row
-// is stored and no second selection pass runs. The candidate loop is
-// unrolled by two so the two dot-product chains overlap.
+// block returns attribute a's values for block positions [lo, hi): a
+// view of the store column in identity mode, else of the gather buffer.
+func (s *Store) block(bs *batchScratch, a int, normalized bool, lo, hi int) []float64 {
+	switch {
+	case bs.identity && normalized:
+		return s.norm[a][lo:hi]
+	case bs.identity:
+		return s.cols[a][lo:hi]
+	case normalized:
+		return bs.norm[a*batchBlockElems : a*batchBlockElems+hi-lo]
+	default:
+		return bs.raw[a*batchBlockElems : a*batchBlockElems+hi-lo]
+	}
+}
+
+// foldRow folds a generic member's block scores into its window: row[j]
+// scores the candidate at block position lo+j. It keeps the window
+// discipline of fusedBlock4 with the scores read from row.
+func (s *Store) foldRow(bs *batchScratch, cand []int, lo, bi int, row []float64) {
+	k := bs.kEff[bi]
+	off := bi * bs.kMax
+	win := bs.winIdx[off : off+k]
+	winSc := bs.winSc[off : off+k]
+	fill := bs.winLen[bi]
+	j := 0
+	for ; fill < k && j < len(row); j++ {
+		win[fill], winSc[fill] = bs.id(cand, lo+j), row[j]
+		fill++
+	}
+	bs.winLen[bi] = fill
+	if j == len(row) {
+		return
+	}
+	wp := s.worstOf(win, winSc)
+	thr := winSc[wp]
+	for ; j < len(row); j++ {
+		if row[j] <= thr {
+			wp, thr = s.fusedReplace(bs, cand, win, winSc, wp, lo+j, row[j])
+		}
+	}
+}
+
+// fusedBlock4 is the register kernel of the sweep, for 4-attribute
+// stores and members with no zero weights: the dot product and the
+// selection threshold both live in registers, so a candidate that
+// cannot enter the window (the overwhelming majority once the window
+// fills) costs four multiply-adds and one compare — no score row is
+// stored. b0..b3 hold the block's four attribute values, starting at
+// block position lo. The candidate loop is unrolled by two so the two
+// dot-product chains overlap.
 //
-// Unlike selectWindow, the kernel keeps its window UNSORTED: an
-// accepted candidate overwrites the worst entry and a k-wide rescan
-// refreshes the threshold — no memmove, no ordered insertion walk.
-// The window is a set, and the top-k set under better()'s strict total
-// order is the same whatever order candidates arrive or entries sit
-// in; batchEmit runs one final k-wide selectWindow over the window to
-// produce the sorted answer, so results stay bit-identical with the
-// single path.
+// The window is kept UNSORTED: an accepted candidate overwrites the
+// worst entry and a k-wide rescan refreshes the threshold — no memmove,
+// no ordered insertion walk. The window is a set, and the top-k set
+// under better()'s strict total order is the same whatever order
+// candidates arrive or entries sit in; batchGroup sorts each window
+// once after the sweep to produce the answer.
 //
 // Exactness of the score: with every weight nonzero the full chain
 // w0·v0 + 0 + w1·v1 + w2·v2 + w3·v3 is the same left-associated
-// addition sequence scoreInto produces (the +0 restores the +0.0 a
-// zero-initialized row gives when the first product is -0.0, and
-// x+0 == 0+x bitwise for any non-NaN x). The threshold test only skips
-// candidates with sc > worst score, which better() already rejects;
-// ties re-check the full total order before replacing.
-func (s *Store) fusedBlock4(bs *batchScratch, cand []int, lo, hi, r, bi int, b0, b1, b2, b3 []float64) {
-	cnt := hi - lo
-	b0, b1, b2, b3 = b0[:cnt], b1[:cnt], b2[:cnt], b3[:cnt]
-	bcount := len(bs.members)
+// addition sequence the generic path produces (the +0 restores the
+// +0.0 a zero-initialized accumulator gives when the first product is
+// -0.0, and x+0 == 0+x bitwise for any non-NaN x). The threshold test
+// only skips candidates with sc > worst score, which better() already
+// rejects; ties re-check the full total order before replacing.
+func (s *Store) fusedBlock4(bs *batchScratch, cand []int, lo, bi int, b0, b1, b2, b3 []float64) {
+	cnt := len(b0)
+	b1, b2, b3 = b1[:cnt], b2[:cnt], b3[:cnt]
 	k := bs.kEff[bi]
-	off := (r*bcount + bi) * bs.kMax
-	fill := bs.winLen[r*bcount+bi]
+	off := bi * bs.kMax
+	fill := bs.winLen[bi]
 	win := bs.winIdx[off : off+k]
 	winSc := bs.winSc[off : off+k]
 	u0, u1, u2, u3 := bs.wflat[bi*4], bs.wflat[bi*4+1], bs.wflat[bi*4+2], bs.wflat[bi*4+3]
 	j := 0
 	// Fill phase: the first k candidates always enter.
 	for ; fill < k && j < cnt; j++ {
-		id := lo + j
-		if !bs.identity {
-			id = cand[lo+j]
-		}
-		win[fill] = id
+		win[fill] = bs.id(cand, lo+j)
 		winSc[fill] = u0*b0[j] + 0 + u1*b1[j] + u2*b2[j] + u3*b3[j]
 		fill++
 	}
-	bs.winLen[r*bcount+bi] = fill
+	bs.winLen[bi] = fill
 	if j == cnt {
 		return
 	}
@@ -551,7 +393,7 @@ func (s *Store) fusedBlock4(bs *batchScratch, cand []int, lo, hi, r, bi int, b0,
 	// the rare candidate that ties or beats the threshold. The scan
 	// handles two candidates per iteration: each keeps its own
 	// left-associated chain (so scores stay bit-identical with the
-	// single path) but the two chains are independent, halving the loop
+	// generic path) but the two chains are independent, halving the loop
 	// overhead per candidate and keeping both in flight across the FP
 	// units instead of serializing on one chain's latency.
 	for {
@@ -586,15 +428,12 @@ func (s *Store) fusedBlock4(bs *batchScratch, cand []int, lo, hi, r, bi int, b0,
 	}
 }
 
-// fusedReplace is fusedBlock4's slow path: candidate pos (an identity
-// offset, mapped through cand in gather mode) tied or beat the window's
-// worst score. Re-check the full total order, overwrite the worst
-// entry, rescan for the new worst.
+// fusedReplace is the slow path of a full window: the candidate at
+// block position pos tied or beat the window's worst score. Re-check
+// the full total order, overwrite the worst entry, rescan for the new
+// worst.
 func (s *Store) fusedReplace(bs *batchScratch, cand, win []int, winSc []float64, wp, pos int, sc float64) (int, float64) {
-	id := pos
-	if !bs.identity {
-		id = cand[pos]
-	}
+	id := bs.id(cand, pos)
 	// sc <= winSc[wp] held at the call site; only an exact score tie
 	// needs the full total order to decide.
 	if sc == winSc[wp] && !s.better(sc, id, sc, win[wp]) {
@@ -619,109 +458,16 @@ func (s *Store) worstOf(win []int, winSc []float64) int {
 	return wp
 }
 
-// selectWindowSeq is selectWindow for identity mode: candidate ids are
-// the consecutive range [from, to) and scores sits at scores[i-from].
-// The window's total order (score, tuple, index) is a total order, so
-// the result never depends on candidate iteration order — the same
-// property the shard merge relies on.
-func (s *Store) selectWindowSeq(from, to int, scores []float64, k int, win []int, winSc []float64) ([]int, []float64) {
-	for i := from; i < to; i++ {
-		sc := scores[i-from]
-		if len(win) == k && !s.better(sc, i, winSc[k-1], win[k-1]) {
-			continue
-		}
-		pos := len(win)
-		for pos > 0 && s.better(sc, i, winSc[pos-1], win[pos-1]) {
+// sortWindow orders a window best-first in place under better()'s total
+// order: an insertion sort, fine for the k-entry windows of a read.
+func (s *Store) sortWindow(win []int, winSc []float64) {
+	for x := 1; x < len(win); x++ {
+		id, sc := win[x], winSc[x]
+		pos := x
+		for pos > 0 && s.better(sc, id, winSc[pos-1], win[pos-1]) {
+			win[pos], winSc[pos] = win[pos-1], winSc[pos-1]
 			pos--
 		}
-		if len(win) < k {
-			win = append(win, 0)
-			winSc = append(winSc, 0)
-		}
-		copy(win[pos+1:], win[pos:])
-		copy(winSc[pos+1:], winSc[pos:])
-		win[pos], winSc[pos] = i, sc
+		win[pos], winSc[pos] = id, sc
 	}
-	return win, winSc
-}
-
-// selectWindowByID is selectWindow with id-indexed scores: candidate
-// cand[j]'s score lives at rowByID[cand[j]]. Used by the post-hoc
-// selection of identity-mode members with a short candidate prefix.
-func (s *Store) selectWindowByID(cand []int, rowByID []float64, k int, win []int, winSc []float64) ([]int, []float64) {
-	for _, i := range cand {
-		sc := rowByID[i]
-		if len(win) == k && !s.better(sc, i, winSc[k-1], win[k-1]) {
-			continue
-		}
-		pos := len(win)
-		for pos > 0 && s.better(sc, i, winSc[pos-1], win[pos-1]) {
-			pos--
-		}
-		if len(win) < k {
-			win = append(win, 0)
-			winSc = append(winSc, 0)
-		}
-		copy(win[pos+1:], win[pos:])
-		copy(winSc[pos+1:], winSc[pos:])
-		win[pos], winSc[pos] = i, sc
-	}
-	return win, winSc
-}
-
-// batchEmit assembles one member's answer: merge its per-range fused
-// windows (or run post-hoc prefix selection for a short-prefix member)
-// and write the result, reusing out[qi].Items as the append buffer.
-// Safe to call concurrently for distinct members.
-func (s *Store) batchEmit(qs []TopKQuery, out []TopKResult, cand []int, bs *batchScratch, bi int) {
-	qi := bs.members[bi]
-	q := &qs[qi]
-	n := len(cand)
-	bcount := len(bs.members)
-	k := bs.kEff[bi]
-	var idx []int
-	var scores []float64
-	local := scratchPool.Get().(*scratch)
-	switch {
-	case !bs.full[bi]:
-		// Short-prefix member: select over its own candidate prefix.
-		nb := bs.lens[bi]
-		local.win = growInts(local.win, k)
-		local.winSc = growFloats(local.winSc, k)
-		if bs.identity {
-			idx, scores = s.selectWindowByID(cand[:nb], bs.rows[bi*n:(bi+1)*n], k, local.win[:0], local.winSc[:0])
-		} else {
-			idx, scores = s.selectWindow(cand[:nb], bs.rows[bi*n:bi*n+nb], k, local.win[:0], local.winSc[:0])
-		}
-	case bs.ranges == 1 && !bs.fast[bi]:
-		// selectWindow kept this window sorted; it is the answer as-is.
-		off := bi * bs.kMax
-		fill := bs.winLen[bi]
-		idx = bs.winIdx[off : off+fill]
-		scores = bs.winSc[off : off+fill]
-	default:
-		// Merge the per-range windows (and order the register kernel's
-		// unsorted ones): compact the already-scored entries and run one
-		// final selection over them.
-		local.merged = local.merged[:0]
-		local.mergedSc = local.mergedSc[:0]
-		for r := 0; r < bs.ranges; r++ {
-			off := (r*bcount + bi) * bs.kMax
-			fill := bs.winLen[r*bcount+bi]
-			local.merged = append(local.merged, bs.winIdx[off:off+fill]...)
-			local.mergedSc = append(local.mergedSc, bs.winSc[off:off+fill]...)
-		}
-		local.win = growInts(local.win, k)
-		local.winSc = growFloats(local.winSc, k)
-		idx, scores = s.selectWindow(local.merged, local.mergedSc, k, local.win[:0], local.winSc[:0])
-	}
-	items := out[qi].Items[:0]
-	for x, i := range idx {
-		items = append(items, Ranked{Tuple: s.tuples[i], Score: scores[x], Level: s.level[i]})
-	}
-	scratchPool.Put(local)
-	if len(items) == 0 {
-		items = nil
-	}
-	out[qi] = TopKResult{Items: items, Exact: len(q.Filter) == 0 && q.K <= s.bandK}
 }

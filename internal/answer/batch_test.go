@@ -3,10 +3,9 @@ package answer
 // Batch parity: TopKBatch must be observationally identical to a loop
 // of single TopKAppend calls — same Items (bit-for-bit scores, same
 // tie-breaks), same Exact flags — across the randomized request grid,
-// filtered and unfiltered, on both sides of the goroutine-spawn
-// threshold. The batch path shares selectWindow and accumulates in the
-// same attribute order as scoreInto, so equality is exact, not
-// approximate.
+// filtered and unfiltered, on small stores and on candidate sets past
+// largeCandidates. Grouping members into shared sweeps must never
+// change an answer, so equality is exact, not approximate.
 
 import (
 	"errors"
@@ -25,7 +24,7 @@ func batchQueries(rng *rand.Rand, s *Store, b int) []TopKQuery {
 	qs := make([]TopKQuery, 0, b)
 	for len(qs) < b {
 		q := parityQuery(rng, s)
-		if s.CheckQuery(q) != nil {
+		if s.checkQuery(&q) != nil {
 			continue
 		}
 		qs = append(qs, q)
@@ -34,7 +33,7 @@ func batchQueries(rng *rand.Rand, s *Store, b int) []TopKQuery {
 		if len(q.Filter) > 0 && len(qs) < b && rng.Intn(2) == 0 {
 			q2 := parityQuery(rng, s)
 			q2.Filter = q.Filter
-			if s.CheckQuery(q2) == nil {
+			if s.checkQuery(&q2) == nil {
 				qs = append(qs, q2)
 			}
 		}
@@ -82,7 +81,7 @@ func TestTopKBatchParityRandomized(t *testing.T) {
 // filtered) plus their swap must answer identically both ways.
 func TestTopKBatchParityQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	s, err := Build(genData(rng, 300, 3, 25), Options{BandK: 5, ShardSize: 64})
+	s, err := Build(genData(rng, 300, 3, 25), Options{BandK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,35 +116,34 @@ func TestTopKBatchParityQuick(t *testing.T) {
 	}
 }
 
-// TestTopKBatchParallelPath forces the fan-out arms (range-parallel
-// scoring, member-parallel selection) on a store past the spawn
-// threshold and checks batch == single there too.
+// TestTopKBatchParallelPath checks batch == single on candidate sets
+// past largeCandidates, for the prefix group and a filtered group.
 func TestTopKBatchParallelPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large store")
 	}
 	rng := rand.New(rand.NewSource(53))
-	n := minParallelCandidates + 4000
-	s, err := Build(genData(rng, n, 3, 1000000), Options{BandK: 4, ShardSize: 512})
+	n := largeCandidates + 4000
+	s, err := Build(genData(rng, n, 3, 1000000), Options{BandK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() <= minParallelCandidates {
-		t.Fatalf("store too small to exercise the parallel path: %d", s.Len())
+	if s.Len() <= largeCandidates {
+		t.Fatalf("store too small: %d tuples", s.Len())
 	}
 	qs := make([]TopKQuery, 0, 12)
 	for len(qs) < cap(qs) {
 		q := parityQuery(rng, s)
 		q.K = 1 + rng.Intn(48)
 		// An unbounded filter admits every tuple: the group candidate
-		// set is the whole store, well past the threshold. Half the
-		// members stay unfiltered to cover the prefix group as well.
+		// set is the whole store. Half the members stay unfiltered to
+		// cover the prefix group as well.
 		if len(qs)%2 == 0 {
 			q.Filter = []Range{Unbounded(rng.Intn(3))}
 		} else {
 			q.Filter = nil
 		}
-		if s.CheckQuery(q) != nil {
+		if s.checkQuery(&q) != nil {
 			continue
 		}
 		qs = append(qs, q)
@@ -154,8 +152,8 @@ func TestTopKBatchParallelPath(t *testing.T) {
 }
 
 // TestTopKBatchValidation pins the all-or-nothing contract: one bad
-// member fails the whole batch, names its index, and CheckQuery agrees
-// with what the batch rejects.
+// member fails the whole batch, names its index, and TopK agrees with
+// what the batch rejects.
 func TestTopKBatchValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	s, err := Build(genData(rng, 100, 3, 50), Options{BandK: 4})
@@ -164,11 +162,11 @@ func TestTopKBatchValidation(t *testing.T) {
 	}
 	good := TopKQuery{Weights: []float64{1, 0, 2}, K: 3}
 	bad := TopKQuery{Weights: []float64{0, 0, 0}, K: 3}
-	if err := s.CheckQuery(good); err != nil {
-		t.Fatalf("CheckQuery rejects a valid query: %v", err)
+	if _, err := s.TopK(good); err != nil {
+		t.Fatalf("TopK rejects a valid query: %v", err)
 	}
-	if err := s.CheckQuery(bad); !errors.Is(err, ErrBadQuery) {
-		t.Fatalf("CheckQuery on all-zero weights: %v", err)
+	if _, err := s.TopK(bad); !errors.Is(err, ErrBadQuery) {
+		t.Fatalf("TopK on all-zero weights: %v", err)
 	}
 	_, err = s.TopKBatch([]TopKQuery{good, bad, good})
 	if !errors.Is(err, ErrBadQuery) {

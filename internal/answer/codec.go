@@ -15,7 +15,7 @@
 //	[0:8)   magic "HSKYANS1"
 //	[8:12)  uint32 format version
 //	[12:16) uint32 CRC-32C (Castagnoli) of everything after this header
-//	[16:)   uint64 n, m, bandK, shard, then length-prefixed sections
+//	[16:)   uint64 n, m, bandK, reserved (always 2048), then length-prefixed sections
 //	        (uint64 count + count×8 bytes each) in fixed order:
 //	        levelOff, levelArena, level, flat (n×m), lo (m), hi (m),
 //	        proj (m×n, concatenated), cols (m×n float64), norm (m×n).
@@ -37,6 +37,11 @@ const (
 	BinaryVersion uint32 = 1
 
 	binaryHeaderLen = 16
+
+	// binaryReserved fills the header word after bandK. Readers require
+	// it positive; writing a fixed value keeps the encoding of a store
+	// byte-identical to every earlier writer of this format version.
+	binaryReserved = 2048
 )
 
 // ErrBadBinary reports a snapshot LoadBinary refused: truncated, wrong
@@ -56,7 +61,7 @@ func (s *Store) AppendBinary(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(s.tuples)))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.m))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(s.bandK)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(s.shard)))
+	dst = binary.LittleEndian.AppendUint64(dst, binaryReserved)
 	dst = appendIntSection(dst, s.levelOff)
 	dst = appendIntSection(dst, s.levelArena)
 	dst = appendIntSection(dst, s.level)
@@ -191,14 +196,14 @@ func LoadBinary(data []byte) (*Store, error) {
 	n := r.intVal()
 	m := r.intVal()
 	bandK := r.intVal()
-	shard := r.intVal()
-	if r.err == nil && (n <= 0 || m <= 0 || bandK <= 0 || shard <= 0) {
-		r.bad("non-positive dimensions n=%d m=%d bandK=%d shard=%d", n, m, bandK, shard)
+	reserved := r.intVal()
+	if r.err == nil && (n <= 0 || m <= 0 || bandK <= 0 || reserved <= 0) {
+		r.bad("non-positive header fields n=%d m=%d bandK=%d reserved=%d", n, m, bandK, reserved)
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	s := &Store{m: m, bandK: bandK, shard: shard}
+	s := &Store{m: m, bandK: bandK}
 	s.levelOff = r.intSection("levelOff", -1)
 	s.levelArena = r.intSection("levelArena", n)
 	s.level = r.intSection("level", n)

@@ -130,3 +130,52 @@ func TestLoadBinaryRejectsCorruption(t *testing.T) {
 func rechecksum(b []byte) {
 	binary.LittleEndian.PutUint32(b[12:16], crc32.Checksum(b[binaryHeaderLen:], castagnoli))
 }
+
+// FuzzLoadBinary feeds LoadBinary arbitrary bytes under a valid
+// checksum, so mutations get past the CRC to the structural checks.
+// Anything it accepts must answer a TopK and a 3-member TopKBatch
+// without panicking, each with at most k items. The seed corpus in
+// testdata/fuzz/FuzzLoadBinary holds real snapshots and the corruption
+// cases of TestLoadBinaryRejectsCorruption.
+func FuzzLoadBinary(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= binaryHeaderLen {
+			data = append([]byte(nil), data...)
+			rechecksum(data)
+		}
+		s, err := LoadBinary(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadBinary) {
+				t.Fatalf("LoadBinary error is not ErrBadBinary: %v", err)
+			}
+			return
+		}
+		const k = 3
+		w := make([]float64, s.NumAttrs())
+		for a := range w {
+			w[a] = 1 + float64(a)
+		}
+		sparse := append([]float64(nil), w...)
+		if len(sparse) > 1 {
+			sparse[0] = 0
+		}
+		q := TopKQuery{Weights: w, K: k}
+		res, err := s.TopK(q)
+		if err != nil || len(res.Items) > k {
+			t.Fatalf("TopK on a loaded store: %d items, err %v", len(res.Items), err)
+		}
+		out, err := s.TopKBatch([]TopKQuery{
+			q,
+			{Weights: sparse, K: k, Normalized: true},
+			{Weights: w, K: k, Filter: []Range{{Attr: 0, Lo: 0, Hi: 100}}},
+		})
+		if err != nil {
+			t.Fatalf("TopKBatch on a loaded store: %v", err)
+		}
+		for i, r := range out {
+			if len(r.Items) > k {
+				t.Fatalf("batch member %d: %d items, want at most %d", i, len(r.Items), k)
+			}
+		}
+	})
+}

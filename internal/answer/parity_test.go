@@ -20,8 +20,8 @@ func parityStore(rng *rand.Rand) *Store {
 	m := 2 + rng.Intn(4)
 	domain := 5 + rng.Intn(60) // small domains force score ties
 	bandK := 1 + rng.Intn(8)
-	shard := 1 + rng.Intn(128)
-	s, err := Build(genData(rng, n, m, domain), Options{BandK: bandK, ShardSize: shard})
+	rng.Intn(128) // an unused draw, kept so the seeded stores stay the same
+	s, err := Build(genData(rng, n, m, domain), Options{BandK: bandK})
 	if err != nil {
 		panic(err)
 	}
@@ -95,7 +95,7 @@ func TestTopKParityRandomized(t *testing.T) {
 // window) combination answers identically on both paths.
 func TestTopKParityQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	s, err := Build(genData(rng, 300, 3, 25), Options{BandK: 5, ShardSize: 64})
+	s, err := Build(genData(rng, 300, 3, 25), Options{BandK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,36 +129,75 @@ func TestTopKParityQuick(t *testing.T) {
 	}
 }
 
-// TestTopKParityParallelPath forces the goroutine fan-out (candidates
-// beyond the spawn threshold, many shards) and checks it against the
-// reference, which shards at its own (smaller) threshold.
+// largeCandidates is the candidate count the large-store parity cases
+// exceed: many blocks of the fused sweep, and several shards of the
+// reference, whose goroutine merge then runs too.
+const largeCandidates = 1 << 13
+
+// TestTopKParityParallelPath checks candidate sets past largeCandidates
+// against the reference, on two stores: a random m=3 store read through
+// an unbounded filter (gather mode and the generic scoring path), and
+// the shape of a published anticorrelated skyline — m=4, every tuple on
+// level 0 — read unfiltered (identity mode and the fusedBlock4 kernel).
 func TestTopKParityParallelPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large store")
 	}
 	rng := rand.New(rand.NewSource(43))
-	n := minParallelCandidates + 4000
-	s, err := Build(genData(rng, n, 3, 1000000), Options{BandK: 4, ShardSize: 512})
+	n := largeCandidates + 4000
+	s, err := Build(genData(rng, n, 3, 1000000), Options{BandK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() <= minParallelCandidates {
-		t.Fatalf("store too small to exercise the parallel path: %d", s.Len())
+	if s.Len() <= largeCandidates {
+		t.Fatalf("store too small: %d tuples", s.Len())
 	}
 	// An unbounded filter admits every tuple, so the candidate set is the
-	// whole store — well past the spawn threshold. k stays small (the
-	// serving shape); selection cost is O(candidates · k).
+	// whole store. k stays small (the serving shape); the reference's
+	// selection cost is O(candidates · k).
 	for rep := 0; rep < 6; rep++ {
 		q := parityQuery(rng, s)
 		q.K = 1 + rng.Intn(64)
 		q.Filter = []Range{Unbounded(rng.Intn(3))}
 		checkParity(t, s, q)
 	}
+
+	sky := flatSkyline(t, rng, n)
+	for _, k := range []int{1, 10} {
+		for _, normalized := range []bool{false, true} {
+			for rep := 0; rep < 3; rep++ {
+				w := []float64{0.05 + rng.Float64(), 0.05 + rng.Float64(), 0.05 + rng.Float64(), 0.05 + rng.Float64()}
+				checkParity(t, sky, TopKQuery{Weights: w, K: k, Normalized: normalized})
+			}
+		}
+	}
+}
+
+// flatSkyline builds an m=4 store of n anticorrelated tuples, all on
+// skyline level 0: every tuple sums to the same total, so none
+// dominates another.
+func flatSkyline(t *testing.T, rng *rand.Rand, n int) *Store {
+	t.Helper()
+	const domain = 1000000
+	data := make([][]int, n)
+	for i := range data {
+		a, b, c := rng.Intn(domain), rng.Intn(domain), rng.Intn(domain)
+		data[i] = []int{a, b, c, 3*domain - a - b - c}
+	}
+	s, err := Build(data, Options{BandK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() <= largeCandidates || s.Stats().Levels != 1 {
+		t.Fatalf("want more than %d tuples on one level, got %+v", largeCandidates, s.Stats())
+	}
+	return s
 }
 
 // TestTopKAppendReusesBuffer pins the zero-allocation contract: a caller
 // reusing its result slice and issuing the same shaped request must not
-// allocate on the unfiltered path.
+// allocate on the unfiltered path, on a small store and on one past
+// largeCandidates.
 func TestTopKAppendReusesBuffer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode randomizes sync.Pool; alloc counts are meaningless")
@@ -168,22 +207,30 @@ func TestTopKAppendReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := []float64{1, 0.5, 2}
-	var dst []Ranked
-	// Warm the scratch pool and the destination buffer.
-	res, err := s.TopKAppend(TopKQuery{Weights: w, K: 8}, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst = res.Items
-	allocs := testing.AllocsPerRun(200, func() {
-		r, err := s.TopKAppend(TopKQuery{Weights: w, K: 8}, dst[:0])
+	for _, c := range []struct {
+		s *Store
+		w []float64
+	}{
+		{s, []float64{1, 0.5, 2}},
+		{flatSkyline(t, rng, largeCandidates+4000), []float64{1, 0.5, 2, 0.25}},
+	} {
+		s, w := c.s, c.w
+		var dst []Ranked
+		// Warm the scratch pool and the destination buffer.
+		res, err := s.TopKAppend(TopKQuery{Weights: w, K: 8}, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst = r.Items
-	})
-	if allocs != 0 {
-		t.Fatalf("unfiltered TopKAppend allocates %v per op, want 0", allocs)
+		dst = res.Items
+		allocs := testing.AllocsPerRun(200, func() {
+			r, err := s.TopKAppend(TopKQuery{Weights: w, K: 8}, dst[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst = r.Items
+		})
+		if allocs != 0 {
+			t.Fatalf("unfiltered TopKAppend on %d tuples allocates %v per op, want 0", s.Len(), allocs)
+		}
 	}
 }

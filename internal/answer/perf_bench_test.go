@@ -135,28 +135,6 @@ func BenchmarkStoreTopKFilteredReference(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreTopKSharded drives the goroutine fan-out: a store
-// larger than the spawn threshold with a filter admitting every tuple.
-func BenchmarkStoreTopKSharded(b *testing.B) {
-	rng := rand.New(rand.NewSource(78))
-	s, err := Build(genData(rng, minParallelCandidates+4000, 3, 1000000), Options{BandK: 4, ShardSize: 2048})
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := []float64{1, 0.5, 2}
-	f := []Range{Unbounded(0)}
-	var dst []Ranked
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := s.TopKAppend(TopKQuery{Weights: w, K: 10, Filter: f}, dst[:0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst = res.Items
-	}
-}
-
 // batchBenchWeights builds B distinct weight vectors (the skyperf
 // rotation: deterministic, all positive, no two collinear).
 func batchBenchWeights(m, bsz int) [][]float64 {
@@ -173,9 +151,10 @@ func batchBenchWeights(m, bsz int) [][]float64 {
 }
 
 // BenchmarkStoreTopKBatch is the headline batch figure: one op answers
-// B=16 distinct weight vectors in one fused sweep. Compare ns/op with
+// B distinct weight vectors in one fused sweep. Compare B16 with
 // BenchmarkStoreTopKBatchSingleLoop (the same 16 vectors as 16
-// TopKAppend calls) — the acceptance floor is a 3x gap.
+// TopKAppend calls, each a sweep of one): the gap is what sharing one
+// candidate walk across the batch saves.
 func BenchmarkStoreTopKBatch(b *testing.B) {
 	for _, bsz := range []int{1, 16, 256} {
 		b.Run(sizeName(bsz), func(b *testing.B) {
@@ -205,7 +184,7 @@ func BenchmarkStoreTopKBatch(b *testing.B) {
 }
 
 // BenchmarkStoreTopKBatchSingleLoop answers the same 16 vectors as 16
-// independent single-vector calls: the "before" row of the batch figure.
+// independent single-vector calls.
 func BenchmarkStoreTopKBatchSingleLoop(b *testing.B) {
 	const bsz = 16
 	s := benchStore(b, 20000)

@@ -12,6 +12,10 @@ package answer
 //
 // It is not called by any serving path.
 
+// refShard is the seed's scan shard width: the reference fans a
+// candidate set out to one goroutine per refShard candidates.
+const refShard = 2048
+
 // ReferenceTopK answers a top-k request exactly like TopK, via the
 // naive pre-arena implementation: per-request candidate append loops,
 // row-major per-tuple scoring, and a final re-scoring of the winners.
@@ -59,15 +63,15 @@ func (s *Store) refSelectTopK(cand []int, q TopKQuery, k int) []Ranked {
 	if k > len(cand) {
 		k = len(cand)
 	}
-	if len(cand) <= s.shard {
+	if len(cand) <= refShard {
 		return s.refRank(s.refLocalTopK(cand, &q, k), &q)
 	}
-	shards := (len(cand) + s.shard - 1) / s.shard
+	shards := (len(cand) + refShard - 1) / refShard
 	locals := make([][]int, shards)
 	done := make(chan int, shards)
 	for sh := 0; sh < shards; sh++ {
-		from := sh * s.shard
-		to := from + s.shard
+		from := sh * refShard
+		to := from + refShard
 		if to > len(cand) {
 			to = len(cand)
 		}

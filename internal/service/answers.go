@@ -34,9 +34,6 @@ var ErrNoAnswer = errors.New("service: no answer index for store yet")
 type answerEntry struct {
 	handle answer.Handle
 	job    atomic.Value // string: source job id (mirrors jobID for readers)
-	// co, when non-nil, coalesces concurrent single-vector top-k calls
-	// against this store into shared fused sweeps (Config.BatchWindow).
-	co *topkCoalescer
 
 	mu    sync.Mutex // serializes publish; jobID is guarded by it
 	jobID string
@@ -294,35 +291,14 @@ func topkResponse(store string, k, bandK int, res answer.TopKResult) AnswerTopKR
 }
 
 // AnswerTopK answers a top-k request from the store's materialized
-// index, without issuing any upstream query. With Config.BatchWindow
-// set, concurrent calls against the same store share fused column
-// sweeps through the per-store coalescer instead of sweeping alone.
+// index, without issuing any upstream query.
 func (m *Manager) AnswerTopK(req AnswerTopKRequest) (AnswerTopKResponse, error) {
-	m.mu.Lock()
-	e := m.answers[req.Store]
-	m.mu.Unlock()
-	if e == nil {
-		return AnswerTopKResponse{}, fmt.Errorf("%w: %q", ErrUnknownStore, req.Store)
-	}
-	s := e.handle.Load()
-	if s == nil {
-		return AnswerTopKResponse{}, fmt.Errorf("%w: %q", ErrNoAnswer, req.Store)
-	}
-	q := req.toQuery()
-	if e.co != nil {
-		// Validate before joining the window: a malformed query answers
-		// its own 400 without failing the batch it would have joined.
-		if err := s.CheckQuery(q); err != nil {
-			return AnswerTopKResponse{}, err
-		}
-		res, err := e.co.do(s, q)
-		if err != nil {
-			return AnswerTopKResponse{}, err
-		}
-		return topkResponse(req.Store, req.K, s.BandK(), res), nil
+	s, err := m.AnswerStore(req.Store)
+	if err != nil {
+		return AnswerTopKResponse{}, err
 	}
 	buf := rankedPool.Get().(*[]answer.Ranked)
-	res, err := s.TopKAppend(q, (*buf)[:0])
+	res, err := s.TopKAppend(req.toQuery(), (*buf)[:0])
 	if err != nil {
 		rankedPool.Put(buf)
 		return AnswerTopKResponse{}, err
@@ -335,15 +311,20 @@ func (m *Manager) AnswerTopK(req AnswerTopKRequest) (AnswerTopKResponse, error) 
 	return resp, nil
 }
 
+// MaxBatchQueries caps the members of one top-k batch request. A sweep
+// holds a selection window of up to min(K, tuples) entries per member,
+// so the cap bounds what one request can make the daemon allocate.
+const MaxBatchQueries = 256
+
 // AnswerTopKBatchRequest is the body of POST /v1/answer/topk_batch:
 // many weight vectors against one store's index, scored in fused
 // column sweeps (each attribute column is read once per cache-resident
 // block for the whole batch, not once per vector).
 type AnswerTopKBatchRequest struct {
 	Store string `json:"store"`
-	// Queries are the batch members; results come back in the same
-	// order. One invalid member fails the whole batch (400), naming its
-	// index.
+	// Queries are the batch members, at most MaxBatchQueries; results
+	// come back in the same order. One invalid member fails the whole
+	// batch (400), naming its index.
 	Queries []AnswerTopKBatchQuery `json:"queries"`
 }
 
@@ -384,14 +365,20 @@ func (m *Manager) AnswerTopKBatch(req AnswerTopKBatchRequest) (AnswerTopKBatchRe
 	if err != nil {
 		return AnswerTopKBatchResponse{}, err
 	}
+	if len(req.Queries) > MaxBatchQueries {
+		return AnswerTopKBatchResponse{}, fmt.Errorf("%w: batch of %d queries exceeds the limit of %d",
+			answer.ErrBadQuery, len(req.Queries), MaxBatchQueries)
+	}
 	qs := make([]answer.TopKQuery, len(req.Queries))
 	for i, q := range req.Queries {
 		qs[i] = q.toQuery()
 	}
-	results, err := m.batchTopK(s, qs)
+	results, err := s.TopKBatch(qs)
 	if err != nil {
 		return AnswerTopKBatchResponse{}, err
 	}
+	m.met.batchSweeps.Inc()
+	m.met.batchVectors.Add(int64(len(qs)))
 	resp := AnswerTopKBatchResponse{
 		Store:   req.Store,
 		BandK:   s.BandK(),
@@ -414,18 +401,6 @@ func (m *Manager) AnswerTopKBatch(req AnswerTopKBatchRequest) (AnswerTopKBatchRe
 		resp.Results[i] = r
 	}
 	return resp, nil
-}
-
-// batchTopK is the one funnel every batch sweep goes through (explicit
-// batch requests and coalesced windows alike), so the sweep/vector
-// counters mean the same thing everywhere.
-func (m *Manager) batchTopK(s *answer.Store, qs []answer.TopKQuery) ([]answer.TopKResult, error) {
-	results, err := s.TopKBatch(qs)
-	if err == nil {
-		m.met.batchSweeps.Inc()
-		m.met.batchVectors.Add(int64(len(qs)))
-	}
-	return results, err
 }
 
 // AnswerSkylineRequest is the body of POST /v1/answer/skyline: the

@@ -1,12 +1,10 @@
 package service
 
 // The batch answer path end to end: the /v1/answer/topk_batch endpoint
-// must agree with the single-vector endpoint member by member, the
-// opt-in coalescer must merge concurrent single-vector calls into
-// (provably, via the sweep counter) shared fused sweeps, and binary
-// columnar snapshots must carry answer indexes across a restart — with
-// a corrupt binary falling back to the JSON re-index, never failing
-// recovery.
+// must agree with the single-vector endpoint member by member and
+// refuse batches over MaxBatchQueries, and binary columnar snapshots
+// must carry answer indexes across a restart — with a corrupt binary
+// falling back to the JSON re-index, never failing recovery.
 
 import (
 	"context"
@@ -15,8 +13,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -96,69 +94,34 @@ func TestAnswerTopKBatchOverHTTP(t *testing.T) {
 	}
 }
 
-// TestAnswerTopKCoalescing proves the shim batches: N concurrent
-// single-vector calls against one store issue at most ceil(N/BatchMax)
-// fused sweeps (read off answer_batch_sweeps_total), and every caller
-// still gets the exact single-path answer.
-func TestAnswerTopKCoalescing(t *testing.T) {
-	const (
-		N        = 16
-		batchMax = 4
-	)
-	m, d := newAnswerManager(t, Config{BatchWindow: 50 * time.Millisecond, BatchMax: batchMax}, 42, 250)
+// TestAnswerTopKBatchLimit: a batch of MaxBatchQueries members is
+// answered, one more is refused with a 400 naming the limit.
+func TestAnswerTopKBatchLimit(t *testing.T) {
+	m, _ := newAnswerManager(t, Config{}, 44, 100)
 	defer m.Close(context.Background())
-	st, err := m.Submit(JobSpec{Store: "shop", Band: 3})
+	st, err := m.Submit(JobSpec{Store: "shop"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitTerminal(t, m, st.ID, 30*time.Second)
-
-	w := []float64{2, 1, 0.5}
-	want := bruteScores(d.Data, w, 3)
-	sweeps0 := m.met.batchSweeps.Load()
-	vectors0 := m.met.batchVectors.Load()
-
-	var wg sync.WaitGroup
-	errs := make([]error, N)
-	resps := make([]AnswerTopKResponse, N)
-	// Release every caller at once so they land in shared windows.
-	start := make(chan struct{})
-	for i := 0; i < N; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			resps[i], errs[i] = m.AnswerTopK(AnswerTopKRequest{Store: "shop", Weights: w, K: 3})
-		}(i)
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	c, err := Dial(srv.URL, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	close(start)
-	wg.Wait()
-
-	for i := 0; i < N; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if !resps[i].Exact || len(resps[i].Scores) != len(want) {
-			t.Fatalf("caller %d: %+v", i, resps[i])
-		}
-		for r := range want {
-			if math.Abs(resps[i].Scores[r]-want[r]) > 1e-9 {
-				t.Fatalf("caller %d rank %d: %v, want %v", i, r, resps[i].Scores[r], want[r])
-			}
-		}
+	req := AnswerTopKBatchRequest{Store: "shop", Queries: make([]AnswerTopKBatchQuery, MaxBatchQueries+1)}
+	for i := range req.Queries {
+		req.Queries[i] = AnswerTopKBatchQuery{Weights: []float64{1, 1, 1}, K: 1}
 	}
-	sweeps := m.met.batchSweeps.Load() - sweeps0
-	vectors := m.met.batchVectors.Load() - vectors0
-	if vectors != N {
-		t.Fatalf("answer_batch_vectors_total moved by %d, want %d", vectors, N)
+	_, err = c.TopKBatch(req)
+	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), strconv.Itoa(MaxBatchQueries)) {
+		t.Fatalf("batch of %d: want a 400 naming the limit, got %v", len(req.Queries), err)
 	}
-	if maxSweeps := int64((N + batchMax - 1) / batchMax); sweeps < 1 || sweeps > maxSweeps {
-		t.Fatalf("%d concurrent calls issued %d sweeps, want 1..%d", N, sweeps, maxSweeps)
-	}
-
-	// A malformed query answers its own error without poisoning a window.
-	if _, err := m.AnswerTopK(AnswerTopKRequest{Store: "shop", Weights: []float64{0, 0, 0}, K: 1}); err == nil {
-		t.Fatal("all-zero weights accepted through the coalescer")
+	req.Queries = req.Queries[:MaxBatchQueries]
+	resp, err := c.TopKBatch(req)
+	if err != nil || len(resp.Results) != MaxBatchQueries {
+		t.Fatalf("batch of %d: %d results, err %v", MaxBatchQueries, len(resp.Results), err)
 	}
 }
 

@@ -50,9 +50,12 @@ import (
 //	GET  /v1/answer                     -> {answers: {store: {loaded, info, job}}}
 //	POST /v1/answer/topk      {AnswerTopKRequest}      -> AnswerTopKResponse
 //	POST /v1/answer/topk_batch {AnswerTopKBatchRequest} -> AnswerTopKBatchResponse
-//	                                (many weight vectors against one
-//	                                store, scored in fused column
-//	                                sweeps; results in request order)
+//	                                (up to MaxBatchQueries weight
+//	                                vectors against one store, scored
+//	                                in fused column sweeps; results in
+//	                                request order)
+//
+// Every POST body is JSON of at most 1 MiB; a larger one answers 413.
 //	POST /v1/answer/skyline   {AnswerSkylineRequest}   -> AnswerSkylineResponse
 //	POST /v1/answer/dominates {AnswerDominatesRequest} -> AnswerDominatesResponse
 
@@ -129,10 +132,30 @@ func (h *Handler) handleHistory(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.m.History(last))
 }
 
+// maxBodyBytes caps every JSON request body the API decodes, so no
+// request can make the daemon buffer an unbounded body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it writes the error response — 413 past the cap, else 400
+// prefixed with what — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, errorResponse{Error: what + ": " + err.Error()})
+	return false
+}
+
 func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "malformed job spec: " + err.Error()})
+	if !decodeBody(w, r, &spec, "malformed job spec") {
 		return
 	}
 	st, err := h.m.Submit(spec)
@@ -276,13 +299,12 @@ func (h *Handler) handleAnswers(w http.ResponseWriter, r *http.Request) {
 }
 
 // answerEndpoint adapts one manager answer method into an HTTP handler:
-// decode the request, map errors (unknown store 404, index not built
-// yet 409, bad query 400), encode the answer.
+// decode the request (413 past maxBodyBytes), map errors (unknown store
+// 404, index not built yet 409, bad query 400), encode the answer.
 func answerEndpoint[Req, Resp any](fn func(Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "malformed request: " + err.Error()})
+		if !decodeBody(w, r, &req, "malformed request") {
 			return
 		}
 		resp, err := fn(req)

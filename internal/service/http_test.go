@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -164,5 +165,28 @@ func TestHTTPErrors(t *testing.T) {
 	defer cancel()
 	if _, err := c.Wait(ctx, st.ID, 10*time.Millisecond); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHTTPRejectsOversizedBody: every JSON-decoding POST endpoint reads
+// at most maxBodyBytes and answers 413 past it, whatever the body holds.
+func TestHTTPRejectsOversizedBody(t *testing.T) {
+	m, err := NewManager(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close(context.Background())
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	body := `{"store":"s","weights":[` + strings.Repeat("1,", maxBodyBytes/2) + `1]}`
+	for _, path := range []string{"/v1/jobs", "/v1/answer/topk", "/v1/answer/topk_batch", "/v1/answer/skyline", "/v1/answer/dominates"} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a %d-byte body: status %d, want 413", path, len(body), resp.StatusCode)
+		}
 	}
 }

@@ -71,7 +71,7 @@ func newManagerMetrics(r *obs.Registry) *managerMetrics {
 			BatchSize:        r.Histogram("answer_batch_size", "weight vectors per batch top-k sweep (dimensionless; 1ns == 1 vector)"),
 		},
 
-		batchSweeps:   r.Counter("answer_batch_sweeps_total", "fused column sweeps issued by the batch top-k path (explicit batches and coalesced windows)"),
+		batchSweeps:   r.Counter("answer_batch_sweeps_total", "batch top-k requests answered (POST /v1/answer/topk_batch)"),
 		batchVectors:  r.Counter("answer_batch_vectors_total", "weight vectors answered through the batch top-k path"),
 		recoverBinary: r.Counter(`answer_recover_source_total{source="binary"}`, "answer indexes recovered from binary columnar snapshots"),
 		recoverJSON:   r.Counter(`answer_recover_source_total{source="json"}`, "answer indexes recovered by re-indexing JSON job snapshots"),

@@ -106,17 +106,6 @@ type Config struct {
 	SampleRetention int
 	// Health tunes the rollup's degradation thresholds.
 	Health HealthThresholds
-	// BatchWindow, when > 0, coalesces concurrent single-vector
-	// /v1/answer/topk calls against the same store: a call parks for up
-	// to this long while others gather, then the window is answered in
-	// one fused TopKBatch column sweep. ~200µs trades negligible added
-	// latency for an amortized sweep under concurrent load. Zero
-	// disables coalescing (every call sweeps alone, as before).
-	BatchWindow time.Duration
-	// BatchMax caps a coalescing window's batch: the BatchMax-th caller
-	// flushes immediately instead of waiting out the window (<= 0:
-	// DefaultBatchMax).
-	BatchMax int
 }
 
 // HealthThresholds configures the manager's health rollup: a rate
@@ -493,11 +482,7 @@ func (m *Manager) AddStore(name string, db core.Interface) error {
 			"store circuit state (0 closed, 1 half-open, 2 open)",
 			func() float64 { return float64(b.stateAt(time.Now())) })
 	}
-	e := &answerEntry{}
-	if m.cfg.BatchWindow > 0 {
-		e.co = newTopkCoalescer(m)
-	}
-	m.answers[name] = e
+	m.answers[name] = &answerEntry{}
 	m.instrumentStore(name, db)
 	return nil
 }
